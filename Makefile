@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet bench bench-json bench-check overhead-guard smoke smoke-race read-smoke read-smoke-race malice-race slo-smoke chaos chaos-ci migration-chaos cluster-smoke cluster-smoke-race ci
+.PHONY: build test race vet figures fuzz-smoke bench bench-json bench-check overhead-guard smoke smoke-race read-smoke read-smoke-race malice-race slo-smoke chaos chaos-ci migration-chaos cluster-smoke cluster-smoke-race ci
 
 build:
 	$(GO) build ./...
@@ -87,6 +87,19 @@ cluster-smoke-race:
 vet:
 	$(GO) vet ./...
 
+# The paper's figures at full scale (Figures 3 and 8-15, about a minute on
+# 2 vCPUs): fsencr-bench exits nonzero if any simulation of any figure
+# fails, so a workload that aborts cannot hide behind an earlier figure.
+figures:
+	$(GO) run ./cmd/fsencr-bench -json figures.json
+
+# Short differential fuzz run of the memctrl datapath: a controller and a
+# same-chip twin against a plaintext model, snapshot reads against
+# ReadPageInto. Plain `go test` replays the committed seed corpus
+# (internal/memctrl/testdata/fuzz/FuzzDatapath) on every run.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDatapath$$' -fuzztime 20s ./internal/memctrl
+
 # Hot-path microbenchmarks (datapath + Merkle write-back + crypto engine +
 # kvstore), one iteration batch each — enough for before/after comparisons
 # of the fast-path.
@@ -151,4 +164,4 @@ overhead-guard:
 	FSENCR_OVERHEAD_GUARD=1 $(GO) test -run 'TestTelemetryOverheadGuard|TestWriteLineGapGuard|TestPageGapGuard|TestAuditOverheadGuard|TestTraceOverheadGuard' -v ./internal/memctrl
 	FSENCR_OVERHEAD_GUARD=1 $(GO) test -run 'TestReadScalingGuard' -v ./internal/server
 
-ci: build vet test smoke race read-smoke read-smoke-race malice-race slo-smoke chaos-ci cluster-smoke cluster-smoke-race migration-chaos overhead-guard bench-check
+ci: build vet test figures fuzz-smoke smoke race read-smoke read-smoke-race malice-race slo-smoke chaos-ci cluster-smoke cluster-smoke-race migration-chaos overhead-guard bench-check

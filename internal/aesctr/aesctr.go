@@ -118,18 +118,18 @@ func (e *Engine) OTPInto(dst *Line, iv IV) {
 // one call instead of 64.
 type Page [config.PageSize]byte
 
-// OTPPageInto fills dst with the one-time pads for all 64 lines of a page
-// in one pass: the counter-block template (page ID, major counter, domain)
-// is built once, and only the per-line lane (line index, minor counter) and
+// OTPSpanInto fills lines [lo, hi) of dst with their one-time pads in one
+// pass: the counter-block template (page ID, major counter, domain) is
+// built once, and only the per-line lane (line index, minor counter) and
 // the per-block index are rewritten inside the loop. The output is
-// byte-identical to 64 OTPInto calls with the corresponding per-line IVs —
+// byte-identical to OTPInto calls with the corresponding per-line IVs —
 // the batching amortizes host work, it never changes the keystream.
-func (e *Engine) OTPPageInto(dst *Page, pageID uint64, major uint64, minors *[config.LinesPerPage]uint8, domain uint8) {
+func (e *Engine) OTPSpanInto(dst *Page, pageID uint64, major uint64, minors *[config.LinesPerPage]uint8, lo, hi int, domain uint8) {
 	ctr := e.ctr[:]
 	binary.LittleEndian.PutUint64(ctr[0:8], pageID^(major>>32<<48))
 	ctr[10] = domain
 	binary.LittleEndian.PutUint32(ctr[11:15], uint32(major))
-	for li := 0; li < config.LinesPerPage; li++ {
+	for li := lo; li < hi; li++ {
 		ctr[8] = uint8(li)
 		ctr[9] = minors[li]
 		base := li * config.LineSize
@@ -140,14 +140,22 @@ func (e *Engine) OTPPageInto(dst *Page, pageID uint64, major uint64, minors *[co
 	}
 }
 
-// XORPageInto sets dst ^= src across a whole page, eight bytes at a lane —
-// the page-granularity companion of XORInto.
-func XORPageInto(dst, src *Page) {
-	for i := 0; i < config.PageSize; i += 8 {
+// OTPPageInto is OTPSpanInto over all 64 lines of a page.
+func (e *Engine) OTPPageInto(dst *Page, pageID uint64, major uint64, minors *[config.LinesPerPage]uint8, domain uint8) {
+	e.OTPSpanInto(dst, pageID, major, minors, 0, config.LinesPerPage, domain)
+}
+
+// XORSpanInto sets dst ^= src over lines [lo, hi), eight bytes at a lane —
+// the span companion of XORInto.
+func XORSpanInto(dst, src *Page, lo, hi int) {
+	for i := lo * config.LineSize; i < hi*config.LineSize; i += 8 {
 		v := binary.LittleEndian.Uint64(dst[i:i+8]) ^ binary.LittleEndian.Uint64(src[i:i+8])
 		binary.LittleEndian.PutUint64(dst[i:i+8], v)
 	}
 }
+
+// XORPageInto is XORSpanInto over a whole page.
+func XORPageInto(dst, src *Page) { XORSpanInto(dst, src, 0, config.LinesPerPage) }
 
 // OTP generates the 64-byte one-time pad for iv.
 func (e *Engine) OTP(iv IV) Line {

@@ -71,8 +71,9 @@ type Controller struct {
 
 	PCM *pcm.Memory
 
-	memEngine *aesctr.Engine
-	engines   map[aesctr.Key]*aesctr.Engine // file-key engine cache
+	// crypt is the datapath's crypt context: memory engine, file-engine
+	// cache and pad buffers (a Reader the owner goroutine keeps).
+	crypt *Reader
 	// metaCache is the shared metadata cache; when partitioning is on,
 	// metaCaches[0..2] hold the MECB / FECB / tree-node partitions and
 	// metaCache aliases partition 0 for legacy accessors.
@@ -111,21 +112,14 @@ type Controller struct {
 	// mtPath is the reusable Merkle path-walk buffer of fetchMeta and
 	// touchDirtyCounter (same single-threaded-datapath argument).
 	mtPath []merkle.NodeID
-	// padScratch/filePadScratch are the ReadLine/WriteLine OTP buffers.
-	// Locals escape to the heap through the cipher.Block.Encrypt interface
-	// call inside OTPInto, costing two 64-byte allocations per line op;
-	// OTPInto fully overwrites its destination, so reuse is safe.
-	padScratch     aesctr.Line
-	filePadScratch aesctr.Line
-	// pagePadScratch/pageFilePadScratch are the batched page-datapath OTP
-	// buffers (WritePage/ReadPage), controller-owned for the same reason —
-	// 4 KB heap escapes per page op would undo the batching's host-cost
-	// win. pageStartScratch/pageDoneScratch carry per-line issue and
+	// reOld/reNew are the page re-encryption sweep's pad buffers. Locals
+	// escape to the heap through the cipher.Block.Encrypt interface call
+	// inside OTPInto; OTPInto fully overwrites its destination, so reuse
+	// is safe. pageStartScratch/pageDoneScratch carry per-line issue and
 	// completion times between the burst scheduler and AccessPage.
-	pagePadScratch     aesctr.Page
-	pageFilePadScratch aesctr.Page
-	pageStartScratch   [config.LinesPerPage]config.Cycle
-	pageDoneScratch    [config.LinesPerPage]config.Cycle
+	reOld, reNew     aesctr.Line
+	pageStartScratch [config.LinesPerPage]config.Cycle
+	pageDoneScratch  [config.LinesPerPage]config.Cycle
 
 	// writeQueue holds the completion times of in-flight writes. Writes
 	// are posted: the core's CLWB/SFENCE completes when the store is
@@ -241,7 +235,6 @@ func newWithSeq(cfg config.Config, mode Mode, st *stats.Set, seq uint64) *Contro
 		st:            st,
 		chipSeq:       seq,
 		PCM:           pcm.New(cfg.PCM, st),
-		engines:       make(map[aesctr.Key]*aesctr.Engine),
 		mecb:          make(map[uint64]*counters.MECB),
 		fecb:          make(map[uint64]*counters.FECB),
 		persistedMECB: make(map[uint64]counters.MECB),
@@ -249,8 +242,9 @@ func newWithSeq(cfg config.Config, mode Mode, st *stats.Set, seq uint64) *Contro
 		unpersisted:   make(map[uint64]int),
 		ecc:           make(map[uint64]uint64),
 	}
+	var mem *aesctr.Engine
 	if mode.MemEncryption {
-		c.memEngine = aesctr.New(deriveKey("fsencr-memory-key", seq), cfg.Security.AESLatency)
+		mem = aesctr.New(deriveKey("fsencr-memory-key", seq), cfg.Security.AESLatency)
 		if cfg.Security.PartitionMetadataCache {
 			// Equitable split: half for the tree nodes (they are the
 			// deepest structure), a quarter each for MECB and FECB.
@@ -265,6 +259,7 @@ func newWithSeq(cfg config.Config, mode Mode, st *stats.Set, seq uint64) *Contro
 		}
 		c.mt = merkle.New(cfg.Security.MerkleArity, cfg.Security.MerkleLevels)
 	}
+	c.crypt = newReader(mem, cfg.Security.AESLatency)
 	if mode.FileEncryption {
 		c.ottTable = ott.NewTable(cfg.Security.OTTBanks, cfg.Security.OTTEntriesPerBank)
 		c.ottRegion = ott.NewRegion(deriveKey("fsencr-ott-key", seq), 1024)
@@ -374,15 +369,6 @@ func (c *Controller) Unlock() { c.locked = false }
 
 // Locked reports whether the file datapath is locked.
 func (c *Controller) Locked() bool { return c.locked }
-
-func (c *Controller) engineFor(key aesctr.Key) *aesctr.Engine {
-	e, ok := c.engines[key]
-	if !ok {
-		e = aesctr.New(key, c.cfg.Security.AESLatency)
-		c.engines[key] = e
-	}
-	return e
-}
 
 // Metadata addresses.
 

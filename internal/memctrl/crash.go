@@ -28,10 +28,7 @@ func (c *Controller) Crash(backupPower bool) {
 	c.clearMetaCaches()
 	if c.ottTable != nil {
 		if backupPower {
-			for _, e := range c.ottTable.Entries() {
-				bucket := c.ottRegion.Store(e)
-				c.updateOTTLeaf(bucket)
-			}
+			c.FlushOTT()
 		}
 		c.ottTable.Clear()
 	}
@@ -87,10 +84,10 @@ func (c *Controller) Recover() error {
 		isFile := false
 		if c.mode.FileEncryption && fecb != nil && (fecb.GroupID != 0 || fecb.FileID != 0) {
 			if e, _, found := c.ottRegion.Lookup(fecb.GroupID, fecb.FileID); found {
-				fileEng = c.engineFor(e.Key)
+				fileEng = c.crypt.engineFor(e.Key)
 				isFile = true
 			} else if k, found := c.ottTable.Lookup(fecb.GroupID, fecb.FileID); found {
-				fileEng = c.engineFor(k)
+				fileEng = c.crypt.engineFor(k)
 				isFile = true
 			}
 		}
@@ -103,7 +100,7 @@ func (c *Controller) Recover() error {
 			if mMinor > config.MinorCounterMax {
 				break // overflows are persisted eagerly; no wrap to search
 			}
-			c.memEngine.OTPInto(&memPad, memIV(page, li, mecb.Major, uint8(mMinor)))
+			c.crypt.mem.OTPInto(&memPad, memIV(page, li, mecb.Major, uint8(mMinor)))
 			fileWindow := 0
 			if isFile {
 				fileWindow = window

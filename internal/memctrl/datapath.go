@@ -2,10 +2,12 @@ package memctrl
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"strconv"
 
 	"fsencr/internal/addr"
 	"fsencr/internal/aesctr"
+	"fsencr/internal/audit"
 	"fsencr/internal/config"
 	"fsencr/internal/counters"
 	"fsencr/internal/obsplane/journal"
@@ -20,81 +22,131 @@ func (c *Controller) ReadLine(now config.Cycle, pa addr.Phys) (aesctr.Line, conf
 	raw := la.Raw()
 	cipher := c.PCM.ReadLine(raw)
 	c.st.Inc("mc.reads")
-
-	if !c.mode.MemEncryption {
-		return cipher, c.PCM.Access(now, raw, false)
-	}
-
 	// Data array access and counter fetch proceed in parallel (CTR mode
 	// hides OTP generation under the array access when counters hit).
 	dataDone := c.PCM.Access(now, raw, false)
-	page := la.PageNum()
-	li := la.LineInPage()
-
-	mecb, ctrReady := c.fetchMECB(now, page)
-	pad := &c.padScratch
-	c.memEngine.OTPInto(pad, memIV(page, li, mecb.Major, mecb.Minor[li]))
-	otpReady := ctrReady + c.memEngine.Latency()
-	xors := 1
-	// padComplete: the decrypt applied every pad component the data was
-	// written under, so the plaintext is checkable against its ECC tag. A
-	// DF line whose file pad could not be applied (missing key, locked
-	// datapath) deliberately decrypts to garbage and must not be flagged.
-	padComplete := true
-
-	if la.IsDF() && c.fileActive() {
-		fecb, fReady := c.fetchFECB(now, page)
-		key, kReady, ok := c.lookupKey(fReady, fecb.GroupID, fecb.FileID)
-		if ok {
-			filePad := &c.filePadScratch
-			c.engineFor(key).OTPInto(filePad, fileIV(page, li, fecb.Major, fecb.Minor[li]))
-			aesctr.XORInto(pad, filePad)
-			fileOTPReady := kReady + c.cfg.Security.AESLatency
-			if fileOTPReady > otpReady {
-				otpReady = fileOTPReady
-			}
-			xors++
-		} else {
-			// No key available (deleted file or locked datapath): the line
-			// decrypts with the memory pad only, yielding unintelligible
-			// bytes — exactly the §VI guarantee.
-			c.st.Inc("mc.key_unavailable")
-			c.journalDFMismatch(kReady, page, fecb.GroupID, fecb.FileID)
-			padComplete = false
-		}
-	} else if la.IsDF() && c.mode.FileEncryption {
-		padComplete = false // locked datapath: file pad skipped
+	if !c.mode.MemEncryption {
+		return cipher, dataDone
 	}
 
-	done := maxCycle(dataDone, otpReady) + config.Cycle(xors)*c.cfg.Security.XORLatency
+	li := la.LineInPage()
+	pad, otpReady, xors, complete := c.readPad(now, la, li, li+1)
+	done := maxCycle(dataDone, otpReady) + xors*c.cfg.Security.XORLatency
 	c.tReadCycles.Observe(uint64(done - now))
-	aesctr.XORInto(&cipher, pad)
-	if padComplete {
-		c.checkECC(done, la.LineNum(), page, li, &cipher)
+	aesctr.XORInto(&cipher, pageLine(pad, li))
+	if complete {
+		c.emitECC(done, la.PageNum(), c.eccMismatches(la.PageNum(), li, cipher[:]))
 	}
 	return cipher, done
 }
 
-// checkECC verifies a decrypted line against the Osiris check tag stored in
-// its ECC bits. A mismatch means the ciphertext at rest was corrupted or
-// tampered with (bit rot, torn write, physical attacker) — the plaintext
-// the caller is about to receive is garbage, and silently returning it
-// would defeat the integrity story, so the event is counted and journalled
-// like a Merkle verification failure. Lines without a tag (never written,
-// or shredded) and the post-crash pre-recovery window (counters are rolled
-// back by design) are skipped.
-func (c *Controller) checkECC(now config.Cycle, lineNum, page uint64, li int, plain *aesctr.Line) {
+// readPad fetches the counter blocks of the page holding la and builds the
+// read pad of lines [lo, hi). A full-page read of a file page is audited.
+// The span's pads pipeline through the AES engine one issue slot per line,
+// so ready is when the last of them is. complete reports whether the pad
+// holds every component the data was written under: a DF line whose file
+// pad could not be applied (missing key, locked datapath) deliberately
+// decrypts to garbage and must not be checked against its ECC tag.
+func (c *Controller) readPad(now config.Cycle, la addr.Phys, lo, hi int) (pad *aesctr.Page, ready, xors config.Cycle, complete bool) {
+	page := la.PageNum()
+	mecb, ctrReady := c.fetchMECB(now, page)
+	var fecb *counters.FECB
+	var fReady config.Cycle
+	if la.IsDF() && c.fileActive() {
+		fecb, fReady = c.fetchFECB(now, page)
+		if hi-lo == config.LinesPerPage {
+			c.auditPage(fReady, audit.OpReadPage, page, fecb.GroupID, fecb.FileID)
+		}
+	}
+	pad, ready, xors = c.cryptPad(page, lo, hi, mecb, ctrReady, fecb, fReady)
+	complete = xors > 1 || !(la.IsDF() && c.mode.FileEncryption)
+	return pad, ready + config.Cycle(hi-lo-1), xors, complete
+}
+
+// cryptPad builds the pad of lines [lo, hi) of page from its final
+// counters: the memory block mecb, usable at ctrReady, and for a DF access
+// on an active file datapath the file block fecb (nil otherwise), usable
+// at fReady, whose file key it resolves. Returns the pad, when the span's
+// first pad is ready, and how many pads the data passes through (1 or 2).
+func (c *Controller) cryptPad(page uint64, lo, hi int, mecb *counters.MECB, ctrReady config.Cycle, fecb *counters.FECB, fReady config.Cycle) (*aesctr.Page, config.Cycle, config.Cycle) {
+	ready := ctrReady + c.crypt.mem.Latency()
+	xors := config.Cycle(1)
+	var fe *aesctr.Engine
+	if fecb != nil {
+		var kReady config.Cycle
+		fe, kReady = c.fileEngine(fReady, page, fecb, hi-lo)
+		if fe != nil {
+			ready = maxCycle(ready, kReady+c.cfg.Security.AESLatency)
+			xors++
+		}
+	}
+	return c.crypt.padSpan(page, lo, hi, mecb, fe, fecb), ready, xors
+}
+
+// fileEngine resolves the file key named by f's (GroupID, FileID) tag for
+// an access of n lines of page. Without a key (deleted file or stale tag:
+// the DF bit promised a tunnel that is not open) each line is counted and
+// journalled as a DF mismatch and the engine is nil, so the lines carry
+// the memory pad only and read as unintelligible bytes — exactly the §VI
+// guarantee.
+func (c *Controller) fileEngine(now config.Cycle, page uint64, f *counters.FECB, n int) (*aesctr.Engine, config.Cycle) {
+	key, ready, ok := c.lookupKey(now, f.GroupID, f.FileID)
+	if ok {
+		return c.crypt.engineFor(key), ready
+	}
+	c.st.Add("mc.key_unavailable", uint64(n))
+	for i := 0; i < n; i++ {
+		c.jrn.Emit(journal.Event{Cycle: uint64(ready), Type: journal.DFMismatch,
+			Page: page, Group: f.GroupID, File: f.FileID})
+	}
+	return nil, ready
+}
+
+// eccMismatches checks decrypted lines against the Osiris check tags in
+// their ECC bits: plain holds lines lo, lo+1, ... of page, and bit li of
+// the result is set when line li's plaintext disagrees with its tag. Lines
+// without a tag (never written, or shredded) and the post-crash
+// pre-recovery window (counters are rolled back by design) are skipped.
+func (c *Controller) eccMismatches(page uint64, lo int, plain []byte) uint64 {
 	if c.crashed {
-		return
+		return 0
 	}
-	tag, ok := c.ecc[lineNum]
-	if !ok || eccTag(plain) == tag {
-		return
+	var mask uint64
+	lineNum := page * config.LinesPerPage
+	for i := 0; i < len(plain)/config.LineSize; i++ {
+		li := lo + i
+		tag, ok := c.ecc[lineNum+uint64(li)]
+		if ok && eccTag((*aesctr.Line)(plain[i*config.LineSize:(i+1)*config.LineSize])) != tag {
+			mask |= 1 << li
+		}
 	}
-	c.violations++
-	c.st.Inc("mc.data_ecc_errors")
-	c.jrn.Emit(journal.Event{Cycle: uint64(now), Type: journal.DataECCError,
-		Page: page, Detail: "line " + strconv.Itoa(li)})
+	return mask
+}
+
+// emitECC reports the lines set in mask as check-tag mismatches. A
+// mismatch means the ciphertext at rest was corrupted or tampered with
+// (bit rot, torn write, physical attacker) — the plaintext the caller
+// receives is garbage, and silently returning it would defeat the
+// integrity story, so each line is counted and journalled like a Merkle
+// verification failure.
+func (c *Controller) emitECC(now config.Cycle, page uint64, mask uint64) {
+	for ; mask != 0; mask &= mask - 1 {
+		c.violations++
+		c.st.Inc("mc.data_ecc_errors")
+		c.jrn.Emit(journal.Event{Cycle: uint64(now), Type: journal.DataECCError,
+			Page: page, Detail: "line " + strconv.Itoa(bits.TrailingZeros64(mask))})
+	}
+}
+
+// setECC records the Osiris check tags of a write: plain holds the
+// plaintext of lines lo, lo+1, ... of page. The line's ECC bits carry a
+// check tag over the plaintext, so the counter used for this write is
+// recoverable after a crash.
+func (c *Controller) setECC(page uint64, lo int, plain []byte) {
+	lineNum := page*config.LinesPerPage + uint64(lo)
+	for i := 0; i < len(plain)/config.LineSize; i++ {
+		c.ecc[lineNum+uint64(i)] = eccTag((*aesctr.Line)(plain[i*config.LineSize : (i+1)*config.LineSize]))
+	}
 }
 
 // WriteLine services a dirty writeback (or flush) of the line containing
@@ -135,14 +187,11 @@ func (c *Controller) WriteLine(now config.Cycle, pa addr.Phys, plain aesctr.Line
 		// never has to search across a counter wrap (§III-H).
 		c.persistCounterNow(ctrReady, mecbAddr(page))
 	}
-	pad := &c.padScratch
-	c.memEngine.OTPInto(pad, memIV(page, li, mecb.Major, mecb.Minor[li]))
-	otpReady := ctrReady + c.memEngine.Latency()
-	xors := 1
 
-	isFile := la.IsDF() && c.fileActive()
-	if isFile {
-		fecb, fReady := c.fetchFECB(accepted, page)
+	var fecb *counters.FECB
+	var fReady config.Cycle
+	if la.IsDF() && c.fileActive() {
+		fecb, fReady = c.fetchFECB(accepted, page)
 		fileOverflowed := fecb.Minor[li] == config.MinorCounterMax
 		if fileOverflowed {
 			fReady = c.reencryptPageFile(fReady, page, li)
@@ -153,31 +202,15 @@ func (c *Controller) WriteLine(now config.Cycle, pa addr.Phys, plain aesctr.Line
 		if fileOverflowed {
 			c.persistCounterNow(fReady, fecbAddr(page))
 		}
-		key, kReady, ok := c.lookupKey(fReady, fecb.GroupID, fecb.FileID)
-		if ok {
-			filePad := &c.filePadScratch
-			c.engineFor(key).OTPInto(filePad, fileIV(page, li, fecb.Major, fecb.Minor[li]))
-			aesctr.XORInto(pad, filePad)
-			if r := kReady + c.cfg.Security.AESLatency; r > otpReady {
-				otpReady = r
-			}
-			xors++
-		} else {
-			c.st.Inc("mc.key_unavailable")
-			c.journalDFMismatch(kReady, page, fecb.GroupID, fecb.FileID)
-		}
 	}
 
-	// Osiris: the line's ECC bits carry a check tag over the plaintext, so
-	// the counter used for this write is recoverable after a crash. Taken
-	// before the in-place encryption below consumes the plaintext.
-	tag := eccTag(&plain)
-	aesctr.XORInto(&plain, pad)
-	writeStart := otpReady + config.Cycle(xors)*c.cfg.Security.XORLatency
-	done := c.PCM.Access(writeStart, raw, true)
-	c.PCM.WriteLine(raw, plain)
+	pad, otpReady, xors := c.cryptPad(page, li, li+1, mecb, ctrReady, fecb, fReady)
+	c.setECC(page, li, plain[:])
+	line := pageLine(pad, li)
+	aesctr.XORInto(line, &plain)
+	done := c.PCM.Access(otpReady+xors*c.cfg.Security.XORLatency, raw, true)
+	c.PCM.WriteLine(raw, *line)
 	c.writeQueue = append(c.writeQueue, done)
-	c.ecc[la.LineNum()] = tag
 	c.tWriteAccept.Observe(uint64(accepted - now))
 	return accepted
 }
@@ -185,14 +218,6 @@ func (c *Controller) WriteLine(now config.Cycle, pa addr.Phys, plain aesctr.Line
 // fileActive reports whether the file-encryption datapath should engage.
 func (c *Controller) fileActive() bool {
 	return c.mode.FileEncryption && !c.locked
-}
-
-// journalDFMismatch records a DF-tagged access whose file key could not be
-// resolved: the DF bit promised a tunnel that is not open (deleted file,
-// locked datapath, or a stale tag).
-func (c *Controller) journalDFMismatch(now config.Cycle, page uint64, group uint32, file uint16) {
-	c.jrn.Emit(journal.Event{Cycle: uint64(now), Type: journal.DFMismatch,
-		Page: page, Group: group, File: file})
 }
 
 // reencryptPageMem handles a memory-side minor overflow on page: every line
@@ -205,8 +230,8 @@ func (c *Controller) reencryptPageMem(now config.Cycle, page uint64, bumpLine in
 	r := m.Bump(bumpLine) // wraps: major++, minors reset, minor[bumpLine]=1
 	counters.JournalBump(c.jrn, uint64(now), page, counters.DomainMem, r)
 	done := c.reencryptLines(now, page, func(li int, oldPad, newPad *aesctr.Line) {
-		c.memEngine.OTPInto(oldPad, memIV(page, li, old.Major, old.Minor[li]))
-		c.memEngine.OTPInto(newPad, memIV(page, li, m.Major, m.Minor[li]))
+		c.crypt.mem.OTPInto(oldPad, memIV(page, li, old.Major, old.Minor[li]))
+		c.crypt.mem.OTPInto(newPad, memIV(page, li, m.Major, m.Minor[li]))
 	})
 	c.span("memctrl", "reencrypt_mem", uint64(now), uint64(done))
 	c.jrn.Emit(journal.Event{Cycle: uint64(now), Type: journal.PageReencryptMem, Page: page})
@@ -225,7 +250,7 @@ func (c *Controller) reencryptPageFile(now config.Cycle, page uint64, bumpLine i
 	if !ok {
 		return now
 	}
-	eng := c.engineFor(key)
+	eng := c.crypt.engineFor(key)
 	done := c.reencryptLines(now, page, func(li int, oldPad, newPad *aesctr.Line) {
 		eng.OTPInto(oldPad, fileIV(page, li, old.Major, old.Minor[li]))
 		eng.OTPInto(newPad, fileIV(page, li, f.Major, f.Minor[li]))
@@ -242,10 +267,7 @@ func (c *Controller) reencryptPageFile(now config.Cycle, page uint64, bumpLine i
 func (c *Controller) reencryptLines(now config.Cycle, page uint64, pads func(li int, oldPad, newPad *aesctr.Line)) config.Cycle {
 	t := now
 	base := addr.Phys(page * config.PageSize)
-	// The OTP buffers reuse the controller's line-op scratch (free here:
-	// re-encryption happens before the caller touches padScratch), since
-	// locals escape through the cipher.Block interface call.
-	oldPad, newPad := &c.padScratch, &c.filePadScratch
+	oldPad, newPad := &c.reOld, &c.reNew
 	for li := 0; li < config.LinesPerPage; li++ {
 		la := base + addr.Phys(li*config.LineSize)
 		pads(li, oldPad, newPad)

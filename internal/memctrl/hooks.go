@@ -32,7 +32,7 @@ func (c *Controller) DecryptWithMemoryKeyOnly(pa addr.Phys) aesctr.Line {
 	page := la.PageNum()
 	li := la.LineInPage()
 	m := c.getMECB(page)
-	return aesctr.XOR(cipher, c.memEngine.OTP(memIV(page, li, m.Major, m.Minor[li])))
+	return aesctr.XOR(cipher, c.crypt.mem.OTP(memIV(page, li, m.Major, m.Minor[li])))
 }
 
 // TamperFECB flips a bit in a page's file counter block behind the Merkle

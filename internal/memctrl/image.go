@@ -1,17 +1,20 @@
 package memctrl
 
-// Shard-migration images: a serializable snapshot of everything the NVM
-// module side of a controller holds — device frames (ciphertext), counter
-// blocks, ECC tags, OTT entries and the sealed OTT region — plus the
-// Merkle root and the chip key-derivation sequence.
+// Module images: a serializable snapshot of everything the NVM module side
+// of a controller holds — device frames (ciphertext), counter blocks, ECC
+// tags, OTT entries and the sealed OTT region — plus the Merkle root and
+// the chip key-derivation sequence.
 //
-// Unlike Transport (lifecycle.go), which hands live pointers to a
-// destination controller in the same process, an Image is plain data: it
-// gob-encodes, ships over the cluster fabric, and rehydrates into a fresh
-// controller built with the same chip sequence. The image is the
-// *verification artifact* of a migration — the target reconstructs state
-// by replaying the admission log and then proves equivalence against the
-// image root and the Osiris recovery gate — not the transfer mechanism.
+// An Image is plain data: it gob-encodes, ships over the cluster fabric,
+// and rehydrates into a fresh controller built with the same chip
+// sequence, which is how the processor keys travel. It serves two paths:
+//   - §VI "moving an entire filesystem to a new machine": FlushOTT,
+//     ExportImage, then ImportImage on the destination, which regenerates
+//     the Merkle tree and refuses a module whose root does not match.
+//   - Shard migration, where the image is the *verification artifact* —
+//     the target reconstructs state by replaying the admission log and
+//     then proves equivalence against the image root and the Osiris
+//     recovery gate — not the transfer mechanism.
 
 import (
 	"bytes"

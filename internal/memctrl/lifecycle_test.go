@@ -6,6 +6,7 @@ import (
 
 	"fsencr/internal/addr"
 	"fsencr/internal/config"
+	"fsencr/internal/stats"
 )
 
 func TestRotateFileKeyPreservesPlaintext(t *testing.T) {
@@ -62,6 +63,20 @@ func TestRotateThenCrashRecovers(t *testing.T) {
 	}
 }
 
+// moveModule runs the §VI "move the filesystem to a new machine" path:
+// seal the OTT, export the module image, and import it into a controller
+// in mode built with the source's chip sequence.
+func moveModule(t *testing.T, src *Controller, mode Mode) (*Controller, error) {
+	t.Helper()
+	src.FlushOTT()
+	img, err := src.ExportImage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := NewWithChipSeq(config.Default(), mode, stats.NewSet(), src.ChipSeq())
+	return dst, dst.ImportImage(img)
+}
+
 func TestExportImport(t *testing.T) {
 	src := newMC(Mode{MemEncryption: true, FileEncryption: true})
 	pa := addr.Phys(0xA00000).WithDF()
@@ -71,12 +86,8 @@ func TestExportImport(t *testing.T) {
 	npa := addr.Phys(0xB00000)
 	src.WriteLine(0, npa, lineOf(8))
 
-	transport, err := src.Export()
+	dst, err := moveModule(t, src, Mode{MemEncryption: true, FileEncryption: true})
 	if err != nil {
-		t.Fatal(err)
-	}
-	dst := newMC(Mode{MemEncryption: true, FileEncryption: true})
-	if err := dst.Import(transport); err != nil {
 		t.Fatalf("import: %v", err)
 	}
 	got, _ := dst.ReadLine(0, pa)
@@ -102,28 +113,25 @@ func TestImportRejectsTamperedModule(t *testing.T) {
 	src := newMC(Mode{MemEncryption: true, FileEncryption: true})
 	pa := addr.Phys(0xC00000)
 	src.WriteLine(0, pa, lineOf(1))
-	transport, err := src.Export()
+	src.FlushOTT()
+	img, err := src.ExportImage()
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Attacker swaps counter state in transit.
-	for _, m := range transport.mecb {
+	for k, m := range img.MECB {
 		m.Minor[0] ^= 1
+		img.MECB[k] = m
 	}
-	dst := newMC(Mode{MemEncryption: true, FileEncryption: true})
-	if err := dst.Import(transport); !errors.Is(err, ErrTransportRejected) {
-		t.Fatalf("tampered transport accepted: %v", err)
+	dst := NewWithChipSeq(config.Default(), Mode{MemEncryption: true, FileEncryption: true}, stats.NewSet(), src.ChipSeq())
+	if err := dst.ImportImage(img); !errors.Is(err, ErrImageRejected) {
+		t.Fatalf("tampered module accepted: %v", err)
 	}
 }
 
 func TestImportWithoutFileDatapathFails(t *testing.T) {
 	src := newMC(Mode{MemEncryption: true, FileEncryption: true})
-	transport, err := src.Export()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := newMC(Mode{MemEncryption: true})
-	if err := dst.Import(transport); err == nil {
+	if _, err := moveModule(t, src, Mode{MemEncryption: true}); err == nil {
 		t.Fatal("import into non-FsEncr controller succeeded")
 	}
 }

@@ -128,7 +128,20 @@ func TestFileMinorOverflow(t *testing.T) {
 	c.TagPage(0, pa, 1, 1)
 	c.WriteLine(0, pa+128, lineOf(7))
 	for i := 0; i <= config.MinorCounterMax+2; i++ {
+		before := c.Stats().Get("mc.file_reencryptions")
 		c.WriteLine(0, pa, lineOf(byte(i)))
+		if c.Stats().Get("mc.file_reencryptions") == before {
+			continue
+		}
+		// The write that overflowed the minor counter must itself land
+		// intact: its pad is built under the post-overflow counters.
+		got, _ := c.ReadLine(1000, pa)
+		if n := c.Stats().Get("mc.data_ecc_errors"); n != 0 {
+			t.Fatalf("write %d: %d ECC errors reading back the overflowing line", i, n)
+		}
+		if got != lineOf(byte(i)) {
+			t.Fatalf("write %d: overflowing line corrupted", i)
+		}
 	}
 	if c.Stats().Get("mc.file_reencryptions") == 0 {
 		t.Fatal("no file-side re-encryption on overflow")

@@ -5,10 +5,11 @@ import (
 	"fsencr/internal/aesctr"
 	"fsencr/internal/audit"
 	"fsencr/internal/config"
+	"fsencr/internal/counters"
 )
 
 // This file is the batched page-granularity datapath: WritePage and
-// ReadPage move a whole 4 KB page through the controller in one call,
+// ReadPageInto move a whole 4 KB page through the controller in one call,
 // producing byte-identical NVM contents and identical security state
 // (counters, Merkle tree, Osiris persistence, ECC tags, journal) to 64
 // line-granularity calls, while paying the per-page costs — counter-block
@@ -171,20 +172,17 @@ func (c *Controller) WritePage(now config.Cycle, pa addr.Phys, plain *aesctr.Pag
 		}
 		c.persistedMECB[page] = snap
 	}
-	pad := &c.pagePadScratch
-	c.memEngine.OTPPageInto(pad, page, mecb.Major, &mecb.Minor, aesctr.DomainMemory)
-	// The page's OTPs pipeline through the AES engine: line 0's pad after
-	// one traversal, each following line one cycle behind.
-	otpReady0 := ctrReady + c.memEngine.Latency()
-	xors := config.Cycle(1)
 
+	var fecb *counters.FECB
+	var fReady config.Cycle
 	if isFile {
-		fecb, fReady := c.fetchFECB(accepted, page)
+		fecb, fReady = c.fetchFECB(accepted, page)
 		c.auditPage(fReady, audit.OpWritePage, page, fecb.GroupID, fecb.FileID)
 		for li := 0; li < config.LinesPerPage; li++ {
 			fecb.Bump(li)
 		}
-		fReady, fLastBumped := c.touchDirtyCounterBatch(fReady, fecbAddr(page), fecbLeaf(page), c.encFECB(fecb))
+		var fLastBumped int
+		fReady, fLastBumped = c.touchDirtyCounterBatch(fReady, fecbAddr(page), fecbLeaf(page), c.encFECB(fecb))
 		if fLastBumped >= 0 {
 			snap := *fecb
 			for li := fLastBumped + 1; li < config.LinesPerPage; li++ {
@@ -192,28 +190,12 @@ func (c *Controller) WritePage(now config.Cycle, pa addr.Phys, plain *aesctr.Pag
 			}
 			c.persistedFECB[page] = snap
 		}
-		key, kReady, ok := c.lookupKey(fReady, fecb.GroupID, fecb.FileID)
-		if ok {
-			filePad := &c.pageFilePadScratch
-			c.engineFor(key).OTPPageInto(filePad, page, uint64(fecb.Major), &fecb.Minor, aesctr.DomainFile)
-			aesctr.XORPageInto(pad, filePad)
-			if r := kReady + c.cfg.Security.AESLatency; r > otpReady0 {
-				otpReady0 = r
-			}
-			xors++
-		} else {
-			c.st.Add("mc.key_unavailable", config.LinesPerPage)
-			for li := 0; li < config.LinesPerPage; li++ {
-				c.journalDFMismatch(kReady, page, fecb.GroupID, fecb.FileID)
-			}
-		}
 	}
 
-	// Osiris check tags over the plaintext, taken before encryption.
-	lineNum := base.LineNum()
-	for li := 0; li < config.LinesPerPage; li++ {
-		c.ecc[lineNum+uint64(li)] = eccTag((*aesctr.Line)(plain[li*config.LineSize : (li+1)*config.LineSize]))
-	}
+	// The page's OTPs pipeline through the AES engine: line 0's pad after
+	// one traversal, each following line one cycle behind.
+	pad, otpReady0, xors := c.cryptPad(page, 0, config.LinesPerPage, mecb, ctrReady, fecb, fReady)
+	c.setECC(page, 0, plain[:])
 	// Encrypt into the pad buffer (pad ^= plain), leaving the caller's
 	// plaintext untouched, and land the ciphertext page in one store.
 	aesctr.XORPageInto(pad, plain)
@@ -235,63 +217,17 @@ func (c *Controller) ReadPageInto(now config.Cycle, pa addr.Phys, dst *aesctr.Pa
 	raw := base.Raw()
 	c.st.Add("mc.reads", config.LinesPerPage)
 	c.PCM.ReadPageInto(raw, dst)
-
-	if !c.mode.MemEncryption {
-		return c.PCM.AccessPage(now, raw, false, nil, nil)
-	}
-
-	page := base.PageNum()
 	dataDone := c.PCM.AccessPage(now, raw, false, nil, nil)
-
-	mecb, ctrReady := c.fetchMECB(now, page)
-	pad := &c.pagePadScratch
-	c.memEngine.OTPPageInto(pad, page, mecb.Major, &mecb.Minor, aesctr.DomainMemory)
-	// Pipelined OTP generation: the last line's pad trails the first by
-	// one engine issue slot per line.
-	otpReady := ctrReady + c.memEngine.Latency() + config.Cycle(config.LinesPerPage-1)
-	xors := config.Cycle(1)
-	padComplete := true
-
-	if base.IsDF() && c.fileActive() {
-		fecb, fReady := c.fetchFECB(now, page)
-		c.auditPage(fReady, audit.OpReadPage, page, fecb.GroupID, fecb.FileID)
-		key, kReady, ok := c.lookupKey(fReady, fecb.GroupID, fecb.FileID)
-		if ok {
-			filePad := &c.pageFilePadScratch
-			c.engineFor(key).OTPPageInto(filePad, page, uint64(fecb.Major), &fecb.Minor, aesctr.DomainFile)
-			aesctr.XORPageInto(pad, filePad)
-			if r := kReady + c.cfg.Security.AESLatency + config.Cycle(config.LinesPerPage-1); r > otpReady {
-				otpReady = r
-			}
-			xors++
-		} else {
-			c.st.Add("mc.key_unavailable", config.LinesPerPage)
-			for li := 0; li < config.LinesPerPage; li++ {
-				c.journalDFMismatch(kReady, page, fecb.GroupID, fecb.FileID)
-			}
-			padComplete = false
-		}
-	} else if base.IsDF() && c.mode.FileEncryption {
-		padComplete = false // locked datapath: file pad skipped
+	if !c.mode.MemEncryption {
+		return dataDone
 	}
 
+	pad, otpReady, xors, complete := c.readPad(now, base, 0, config.LinesPerPage)
 	done = maxCycle(dataDone, otpReady) + xors*c.cfg.Security.XORLatency
 	c.tReadCycles.Observe(uint64(done - now))
 	aesctr.XORPageInto(dst, pad)
-	if padComplete {
-		lineNum := base.LineNum()
-		for li := 0; li < config.LinesPerPage; li++ {
-			c.checkECC(done, lineNum+uint64(li), page, li,
-				(*aesctr.Line)(dst[li*config.LineSize:(li+1)*config.LineSize]))
-		}
+	if complete {
+		c.emitECC(done, base.PageNum(), c.eccMismatches(base.PageNum(), 0, dst[:]))
 	}
 	return done
-}
-
-// ReadPage is ReadPageInto returning the page by value; the zero-copy
-// service path hands ReadPageInto its own pooled buffer instead.
-func (c *Controller) ReadPage(now config.Cycle, pa addr.Phys) (aesctr.Page, config.Cycle) {
-	var p aesctr.Page
-	done := c.ReadPageInto(now, pa, &p)
-	return p, done
 }

@@ -1,13 +1,11 @@
 package memctrl
 
 import (
-	"strconv"
-
 	"fsencr/internal/addr"
 	"fsencr/internal/aesctr"
 	"fsencr/internal/audit"
 	"fsencr/internal/config"
-	"fsencr/internal/obsplane/journal"
+	"fsencr/internal/counters"
 )
 
 // This file is the read-only snapshot entry point of the concurrent read
@@ -24,11 +22,13 @@ import (
 // makes SnapshotReadPage return false, and the caller re-runs the read on
 // the owner goroutine with full live semantics.
 
-// Reader is one goroutine's private decrypt context: a forked memory
-// engine (shared key schedule, private counter-block scratch), a local
-// file-engine cache, and the page-sized OTP scratch buffers the batched
-// datapath needs. Readers are pooled by the server; a Reader must never
-// be used by two goroutines at once.
+// Reader is a decrypt context: a memory engine, a file-engine cache, and
+// the page-sized pad buffers the datapath builds its one-time pads in. The
+// controller's own datapath runs on one (Controller.crypt); NewReader gives
+// each concurrent reader goroutine a private one whose memory engine is a
+// fork (shared key schedule, private counter-block scratch). Readers are
+// pooled by the server; a Reader must never be used by two goroutines at
+// once.
 type Reader struct {
 	mem     *aesctr.Engine
 	engines map[aesctr.Key]*aesctr.Engine
@@ -38,17 +38,18 @@ type Reader struct {
 	filePad aesctr.Page
 }
 
+func newReader(mem *aesctr.Engine, aesLat config.Cycle) *Reader {
+	return &Reader{mem: mem, engines: make(map[aesctr.Key]*aesctr.Engine), aesLat: aesLat}
+}
+
 // NewReader builds a read-only decrypt context for this controller. Safe
 // to call from any goroutine: it reads only construction-time state.
 func (c *Controller) NewReader() *Reader {
-	r := &Reader{
-		engines: make(map[aesctr.Key]*aesctr.Engine),
-		aesLat:  c.cfg.Security.AESLatency,
+	var mem *aesctr.Engine
+	if c.crypt.mem != nil {
+		mem = c.crypt.mem.Fork()
 	}
-	if c.memEngine != nil {
-		r.mem = c.memEngine.Fork()
-	}
-	return r
+	return newReader(mem, c.crypt.aesLat)
 }
 
 func (r *Reader) engineFor(key aesctr.Key) *aesctr.Engine {
@@ -60,6 +61,25 @@ func (r *Reader) engineFor(key aesctr.Key) *aesctr.Engine {
 	return e
 }
 
+// padSpan is the datapath's one pad builder: it fills lines [lo, hi) of
+// the reader's pad buffer with the memory pad under m, XORed with the file
+// pad under f when fe is non-nil — OTP_mem XOR OTP_file (Figure 7). Every
+// read and write builds its pads here once the counters are final; a line
+// operation is the one-line span.
+func (r *Reader) padSpan(page uint64, lo, hi int, m *counters.MECB, fe *aesctr.Engine, f *counters.FECB) *aesctr.Page {
+	r.mem.OTPSpanInto(&r.pad, page, m.Major, &m.Minor, lo, hi, aesctr.DomainMemory)
+	if fe != nil {
+		fe.OTPSpanInto(&r.filePad, page, uint64(f.Major), &f.Minor, lo, hi, aesctr.DomainFile)
+		aesctr.XORSpanInto(&r.pad, &r.filePad, lo, hi)
+	}
+	return &r.pad
+}
+
+// pageLine returns line li of p.
+func pageLine(p *aesctr.Page, li int) *aesctr.Line {
+	return (*aesctr.Line)(p[li*config.LineSize : (li+1)*config.LineSize])
+}
+
 // AuditEvent is one deferred page-access audit record.
 type AuditEvent struct {
 	Op    audit.Op
@@ -68,10 +88,10 @@ type AuditEvent struct {
 	File  uint16
 }
 
-// ECCEvent is one deferred Osiris check-tag mismatch.
+// ECCEvent is one page's deferred Osiris check-tag mismatches.
 type ECCEvent struct {
-	Page uint64
-	Line int
+	Page  uint64
+	Lines uint64 // bit li set: line li mismatched
 }
 
 // ReadDelta accumulates the side effects of snapshot reads for the owner
@@ -150,12 +170,12 @@ func (c *Controller) SnapshotReadPage(rd *Reader, pa addr.Phys, dst *aesctr.Page
 	// the fresh zero block getMECB/getFECB would have created — the create
 	// side effects (persist snapshot, Merkle leaf) are what the owner's
 	// fallback exists for, and a never-written page needs neither.
-	var m MECBView
+	var m counters.MECB
 	if mb, ok := c.mecb[page]; ok {
-		m.Major, m.Minor = mb.Major, mb.Minor
+		m = *mb
 	}
-	rd.mem.OTPPageInto(&rd.pad, page, m.Major, &m.Minor, aesctr.DomainMemory)
-
+	var f counters.FECB
+	var fe *aesctr.Engine
 	if base.IsDF() {
 		if !c.fileActive() {
 			return false // locked datapath: live path journals and decrypts to garbage
@@ -165,35 +185,22 @@ func (c *Controller) SnapshotReadPage(rd *Reader, pa addr.Phys, dst *aesctr.Page
 			// Untagged FECB: the live path would journal a DF mismatch.
 			return false
 		}
-		group, file, major, minors := fb.GroupID, fb.FileID, fb.Major, fb.Minor
-		key, ok := c.peekKey(group, file)
+		f = *fb
+		key, ok := c.peekKey(f.GroupID, f.FileID)
 		if !ok {
 			return false
 		}
-		d.Audits = append(d.Audits, AuditEvent{Op: audit.OpReadPage, Page: page, Group: group, File: file})
-		rd.engineFor(key).OTPPageInto(&rd.filePad, page, uint64(major), &minors, aesctr.DomainFile)
-		aesctr.XORPageInto(&rd.pad, &rd.filePad)
+		d.Audits = append(d.Audits, AuditEvent{Op: audit.OpReadPage, Page: page, Group: f.GroupID, File: f.FileID})
+		fe = rd.engineFor(key)
 	}
-
-	aesctr.XORPageInto(dst, &rd.pad)
+	aesctr.XORPageInto(dst, rd.padSpan(page, 0, config.LinesPerPage, &m, fe, &f))
 
 	// Osiris check tags, deferred: mismatches are recorded, accounted by
 	// the owner at drain time.
-	lineNum := base.LineNum()
-	for li := 0; li < config.LinesPerPage; li++ {
-		tag, ok := c.ecc[lineNum+uint64(li)]
-		if ok && eccTag((*aesctr.Line)(dst[li*config.LineSize:(li+1)*config.LineSize])) != tag {
-			d.ECC = append(d.ECC, ECCEvent{Page: page, Line: li})
-		}
+	if mask := c.eccMismatches(page, 0, dst[:]); mask != 0 {
+		d.ECC = append(d.ECC, ECCEvent{Page: page, Lines: mask})
 	}
 	return true
-}
-
-// MECBView is the value form of a memory counter block the snapshot path
-// copies under the reader lock.
-type MECBView struct {
-	Major uint64
-	Minor [config.LinesPerPage]uint8
 }
 
 // ApplyReadDelta folds the deferred side effects of snapshot reads into
@@ -209,9 +216,6 @@ func (c *Controller) ApplyReadDelta(now config.Cycle, d *ReadDelta) {
 		c.aud.Append(uint64(now), a.Op, a.Page, a.Group, a.File)
 	}
 	for _, e := range d.ECC {
-		c.violations++
-		c.st.Inc("mc.data_ecc_errors")
-		c.jrn.Emit(journal.Event{Cycle: uint64(now), Type: journal.DataECCError,
-			Page: e.Page, Detail: "line " + strconv.Itoa(e.Line)})
+		c.emitECC(now, e.Page, e.Lines)
 	}
 }
